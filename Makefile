@@ -258,8 +258,8 @@ serve-demo:
 # End-to-end drill of streaming ingestion: seed a two-day store, serve
 # it, push a third day over HTTP (tabmine-ingest -> POST /v1/ingest),
 # watch the snapshot republish live with no SIGHUP, then restart the
-# server and require the pool to resume from its persisted snapshot
-# (both servers must drain cleanly on SIGTERM).
+# server and require the pool to resume from its persisted segments and
+# the store (both servers must drain cleanly on SIGTERM).
 ingest-demo:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/serve" ./cmd/tabmine-serve; \
@@ -271,7 +271,7 @@ ingest-demo:
 	$(GO) run ./cmd/tabmine-store -dir "$$d/store" append -label d00 -in "$$d/day0.tabf"; \
 	$(GO) run ./cmd/tabmine-store -dir "$$d/store" append -label d01 -in "$$d/day1.tabf"; \
 	"$$d/serve" -store "$$d/store" -addr 127.0.0.1:0 -addr-file "$$d/addr" \
-		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 -pool-file "$$d/store/pool.skpo" & pid=$$!; \
+		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$d/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr" ] || { echo 'ERROR: server never published its address'; kill $$pid; exit 1; }; \
 	srv="http://$$(cat "$$d/addr")"; \
@@ -287,10 +287,10 @@ ingest-demo:
 	"$$d/query" -server "$$srv" -op health | grep -q '"cols":48'; \
 	echo '--- snapshot republished live (48 columns, no SIGHUP):'; \
 	"$$d/query" -server "$$srv" -op distance -a 0,0,8,8 -b 0,40,8,8 -mode exact; \
-	echo '--- restart: the pool must resume from its persisted snapshot:'; \
+	echo '--- restart: the pool must resume from its segments and the store:'; \
 	kill -TERM $$pid; wait $$pid; \
 	"$$d/serve" -store "$$d/store" -addr 127.0.0.1:0 -addr-file "$$d/addr2" \
-		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 -pool-file "$$d/store/pool.skpo" & pid=$$!; \
+		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$d/addr2" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr2" ] || { echo 'ERROR: restarted server never published its address'; kill $$pid; exit 1; }; \
 	srv="http://$$(cat "$$d/addr2")"; \
@@ -300,7 +300,7 @@ ingest-demo:
 	kill -TERM $$pid; wait $$pid; \
 	echo 'ingest-demo OK'
 
-# Robustness drill of segment-mode serving (tabmine-serve -segments):
+# Robustness drill of segment-backed store serving (tabmine-serve -store):
 # ingest days so the sealed pool prefix lands in mmap segment files,
 # record reference answers, SIGKILL the server mid-flight, restart it,
 # and require (a) the first health after restart within seconds — the
@@ -319,7 +319,7 @@ mmap-demo:
 	"$$d/store" -dir "$$d/st" init; \
 	"$$d/store" -dir "$$d/st" append -label d00 -in "$$d/day0.tabf"; \
 	"$$d/store" -dir "$$d/st" append -label d01 -in "$$d/day1.tabf"; \
-	"$$d/serve" -store "$$d/st" -segments -panel-cols 16 -addr 127.0.0.1:0 -addr-file "$$d/addr" \
+	"$$d/serve" -store "$$d/st" -panel-cols 16 -addr 127.0.0.1:0 -addr-file "$$d/addr" \
 		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$d/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr" ] || { echo 'ERROR: server never published its address'; exit 1; }; \
@@ -341,7 +341,7 @@ mmap-demo:
 	"$$d/query" -server "$$srv" -op nearest -q 4,4,8,8 -mode sketch >"$$d/ref3"; \
 	echo '--- SIGKILL, then restart over the same store:'; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	"$$d/serve" -store "$$d/st" -segments -panel-cols 16 -addr 127.0.0.1:0 -addr-file "$$d/addr2" \
+	"$$d/serve" -store "$$d/st" -panel-cols 16 -addr 127.0.0.1:0 -addr-file "$$d/addr2" \
 		-k 64 -tile-rows 8 -tile-cols 8 -clusters 4 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$d/addr2" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr2" ] || { echo 'ERROR: restarted server never published its address'; exit 1; }; \

@@ -530,8 +530,9 @@ func benchBatch(rep *report) {
 // 8-day store (64 rows, 32 columns per day) and seals its prefix into
 // segment files once; the cold-start rows then time a full process
 // restart two ways over identical data — mapping the sealed segments
-// and FFT-building only the unsealed fringe, vs replaying every store
-// day through the pool builder (the pool-file-less baseline). The
+// and FFT-building only the unsealed fringe, vs reopening the store and
+// building a heap pool over every day (what a restart without persisted
+// segments has to do). The
 // correlation columns record how much FFT work each path actually ran.
 // The query rows sweep the same rect set over the mmap-backed pool and
 // a from-scratch heap pool; the speedup is the mapped/heap parity
@@ -557,8 +558,6 @@ func benchSegments(rep *report) {
 		},
 		SegmentDir: filepath.Join(storeDir, tabstore.SegmentsDirName),
 	}
-	replayOpts := segOpts
-	replayOpts.SegmentDir = ""
 
 	// Seal the store once, then one more resume so compaction reaches its
 	// steady state and every timed cold start sees the identical live set.
@@ -568,32 +567,41 @@ func benchSegments(rep *report) {
 		fatal(ing.Resume(ctx))
 		ing.Close()
 	}
-	coldStart := func(opts ingest.Options) *ingest.Ingester {
+	coldStart := func() *ingest.Ingester {
 		s2, err := tabstore.Open(storeDir)
 		fatal(err)
-		ing, err := ingest.New(s2, opts)
+		ing, err := ingest.New(s2, segOpts)
 		fatal(err)
 		fatal(ing.Resume(ctx))
 		return ing
 	}
+	replayAll := func() *core.Pool {
+		s2, err := tabstore.Open(storeDir)
+		fatal(err)
+		win, err := s2.LoadRange(0, days)
+		fatal(err)
+		pl, err := core.NewPool(win, segOpts.PoolP, segOpts.PoolK, segOpts.PoolSeed, segOpts.Pool)
+		fatal(err)
+		return pl
+	}
 	c0 := fft.CorrelationCount()
-	coldStart(segOpts).Close()
+	coldStart().Close()
 	segCorr := int(fft.CorrelationCount() - c0)
 	if got := segstore.ReadStats().RestartReplayDays; got != 0 {
 		fatal(fmt.Errorf("segment cold start replayed %d days, want 0", got))
 	}
 	c0 = fft.CorrelationCount()
-	coldStart(replayOpts).Close()
+	replayAll()
 	replayCorr := int(fft.CorrelationCount() - c0)
 
 	seg := run("segment/cold_start_mapped", segCorr, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			coldStart(segOpts).Close()
+			coldStart().Close()
 		}
 	})
 	rpl := run(fmt.Sprintf("segment/cold_start_replay%d", days), replayCorr, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			coldStart(replayOpts).Close()
+			replayAll()
 		}
 	})
 	rep.Results = append(rep.Results, seg, rpl)
@@ -601,7 +609,7 @@ func benchSegments(rep *report) {
 
 	// Query parity: identical sketches read from mapped lanes vs heap
 	// lanes. The rect sweep touches every sealed segment plus the fringe.
-	mapped := coldStart(segOpts)
+	mapped := coldStart()
 	defer mapped.Close()
 	// The RSS-ceiling accounting: with the segments mapped and serving,
 	// the Go heap holds only the window table and the fringe — the
@@ -617,10 +625,7 @@ func benchSegments(rep *report) {
 	}
 	fmt.Fprintf(os.Stderr, "  serving %d mapped lane bytes over a %d-byte Go heap\n",
 		segStats.BytesMapped, ms.HeapAlloc)
-	win, err := st.LoadRange(0, days)
-	fatal(err)
-	heapPool, err := core.NewPool(win, segOpts.PoolP, segOpts.PoolK, segOpts.PoolSeed, segOpts.Pool)
-	fatal(err)
+	heapPool := replayAll()
 	var rects []table.Rect
 	for off := 0; off+16 <= days*dayCols; off += 24 {
 		rects = append(rects, table.Rect{R0: 8, C0: off, Rows: 16, Cols: 16})

@@ -24,7 +24,7 @@ import (
 // estimator) parameters — so a saved pool is just parameters plus the
 // correlation payloads.
 //
-// # Format v3 (current)
+// # Format v3
 //
 // A snapshot is a 4-byte magic, a little-endian u32 version, and a
 // sequence of framed sections. Each section is
@@ -35,24 +35,19 @@ import (
 // silently corrupting every subsequent distance estimate — the sketch
 // state is a long-lived summary assumed durable across sessions. The
 // sections are: one header (parameters) and one float payload per plane
-// set. Version 3 extends the pool header with the panel width and the
-// high-water base column (streaming-ingest metadata; see
-// Pool.HighWaterCols) — the plane-set layout is unchanged from v2.
-// Version 2 (framed, no ingest metadata) and version 1 (unframed, no
-// checksums) files still load, with PanelCols and BaseCol zero.
+// set. The pool header carries the panel width and the high-water base
+// column (streaming-ingest metadata; see Pool.HighWaterCols). Only
+// version 3 loads; the older v1 (unframed) and v2 (no ingest metadata)
+// layouts are rejected as unsupported versions.
 
 var (
 	planeMagic = [4]byte{'S', 'K', 'P', 'L'}
 	poolMagic  = [4]byte{'S', 'K', 'P', 'O'}
 )
 
-const (
-	persistVersionV1 = 1
-	persistVersionV2 = 2
-	persistVersion   = 3
-)
+const persistVersion = 3
 
-// ErrChecksum reports a corrupted v2 snapshot frame: a CRC32C mismatch
+// ErrChecksum reports a corrupted snapshot frame: a CRC32C mismatch
 // or a section length that contradicts the snapshot's own parameters.
 var ErrChecksum = errors.New("core: snapshot checksum mismatch")
 
@@ -102,7 +97,7 @@ func (lw *leWriter) u64(v uint64) {
 
 func (lw *leWriter) f64(v float64) { lw.u64(math.Float64bits(v)) }
 
-// framedBytes writes one v2 section from an in-memory payload (headers).
+// framedBytes writes one section from an in-memory payload (headers).
 func (lw *leWriter) framedBytes(payload []byte) {
 	lw.u64(uint64(len(payload)))
 	if lw.err == nil {
@@ -114,7 +109,7 @@ func (lw *leWriter) framedBytes(payload []byte) {
 	lw.u32(crc32.Checksum(payload, crcTable))
 }
 
-// framedFloats streams one v2 float section, computing the CRC on the
+// framedFloats streams one float section, computing the CRC on the
 // fly so large payloads are never buffered twice.
 func (lw *leWriter) framedFloats(vs []float64) {
 	lw.u64(uint64(len(vs)) * 8)
@@ -160,7 +155,7 @@ func (lr *leReader) f64() float64 { return math.Float64frombits(lr.u64()) }
 // floatsN reads n little-endian float64s, allocating incrementally in
 // chunks so a header claiming a huge payload fails at EOF having
 // committed memory proportional to the bytes actually present, not to
-// the claim. When crc is non-nil every byte read is fed to it.
+// the claim. Every byte read is fed to crc.
 func (lr *leReader) floatsN(n int, crc hash.Hash32) []float64 {
 	if lr.err != nil {
 		return nil
@@ -175,9 +170,7 @@ func (lr *leReader) floatsN(n int, crc hash.Hash32) []float64 {
 			lr.err = err
 			return nil
 		}
-		if crc != nil {
-			crc.Write(b)
-		}
+		crc.Write(b)
 		for i := 0; i < m; i++ {
 			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
 		}
@@ -185,7 +178,7 @@ func (lr *leReader) floatsN(n int, crc hash.Hash32) []float64 {
 	return out
 }
 
-// framedBytes reads one v2 section of at most maxLen bytes, verifying
+// framedBytes reads one section of at most maxLen bytes, verifying
 // its CRC32C.
 func (lr *leReader) framedBytes(maxLen int) []byte {
 	n := lr.u64()
@@ -213,7 +206,7 @@ func (lr *leReader) framedBytes(maxLen int) []byte {
 	return buf
 }
 
-// framedFloats reads a v2 float section whose length must equal n floats,
+// framedFloats reads a float section whose length must equal n floats,
 // verifying its CRC32C.
 func (lr *leReader) framedFloats(n int) []float64 {
 	ln := lr.u64()
@@ -255,7 +248,7 @@ func headerBytes(fn func(lw *leWriter)) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// maxHeaderBytes bounds a v2 header section; real headers are tens of
+// maxHeaderBytes bounds a header section; real headers are tens of
 // bytes, so anything larger is corruption.
 const maxHeaderBytes = 4096
 
@@ -292,7 +285,7 @@ func readSketcher(lr *leReader) (*Sketcher, error) {
 }
 
 // SavePlaneSet writes ps (parameters + position-major payload) in the
-// checksummed v2 format.
+// checksummed v3 format.
 func SavePlaneSet(w io.Writer, ps *PlaneSet) error {
 	if ps.bands != nil {
 		return errors.New("core: banded plane sets persist through the segment store, not SavePlaneSet")
@@ -322,8 +315,7 @@ func SavePlaneSet(w io.Writer, ps *PlaneSet) error {
 	return nil
 }
 
-// planeSetShell parses the plane-set header fields (shared by v1 and v2)
-// and returns the empty PlaneSet plus its expected payload length.
+// planeSetShell parses the plane-set header fields and returns the empty PlaneSet plus its expected payload length.
 func planeSetShell(lr *leReader) (*PlaneSet, int, error) {
 	sk, err := readSketcher(lr)
 	if err != nil {
@@ -344,9 +336,8 @@ func planeSetShell(lr *leReader) (*PlaneSet, int, error) {
 	return &PlaneSet{sk: sk, rows: rows, cols: cols}, n, nil
 }
 
-// LoadPlaneSet reads a plane set saved by SavePlaneSet (v2, checksummed)
-// or by a v1 build of this package, regenerating its Sketcher from the
-// stored parameters.
+// LoadPlaneSet reads a plane set saved by SavePlaneSet, regenerating its
+// Sketcher from the stored parameters.
 func LoadPlaneSet(r io.Reader) (*PlaneSet, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -361,44 +352,29 @@ func LoadPlaneSet(r io.Reader) (*PlaneSet, error) {
 	if lr.err != nil {
 		return nil, fmt.Errorf("core: reading plane set: %w", lr.err)
 	}
-	switch v {
-	case persistVersionV1:
-		ps, n, err := planeSetShell(lr)
-		if err != nil {
-			return nil, err
-		}
-		ps.data = lr.floatsN(n, nil)
-		if lr.err != nil {
-			return nil, fmt.Errorf("core: reading plane set payload: %w", lr.err)
-		}
-		return ps, nil
-	case persistVersionV2, persistVersion:
-		// The plane-set layout is identical in v2 and v3; only the pool
-		// header grew.
-		hdr := lr.framedBytes(maxHeaderBytes)
-		if lr.err != nil {
-			return nil, fmt.Errorf("core: reading plane set header: %w", lr.err)
-		}
-		hlr := &leReader{r: bufio.NewReader(bytes.NewReader(hdr))}
-		ps, n, err := planeSetShell(hlr)
-		if err != nil {
-			return nil, err
-		}
-		ps.data = lr.framedFloats(n)
-		if lr.err != nil {
-			return nil, fmt.Errorf("core: reading plane set payload: %w", lr.err)
-		}
-		return ps, nil
-	default:
+	if v != persistVersion {
 		return nil, fmt.Errorf("core: unsupported plane-set version %d", v)
 	}
+	hdr := lr.framedBytes(maxHeaderBytes)
+	if lr.err != nil {
+		return nil, fmt.Errorf("core: reading plane set header: %w", lr.err)
+	}
+	ps, n, err := planeSetShell(&leReader{r: bufio.NewReader(bytes.NewReader(hdr))})
+	if err != nil {
+		return nil, err
+	}
+	ps.data = lr.framedFloats(n)
+	if lr.err != nil {
+		return nil, fmt.Errorf("core: reading plane set payload: %w", lr.err)
+	}
+	return ps, nil
 }
 
 // SavePool writes a pool (parameters + every plane set payload) in the
-// checksummed v2 format. Sizes are written in sorted key order so output
+// checksummed v3 format. Sizes are written in sorted key order so output
 // is deterministic. Banded pools are rejected: their sealed lanes
 // already live in immutable segment files (internal/segstore), which is
-// the persistence path for segment mode.
+// how store-mode ingestion persists.
 func SavePool(w io.Writer, pl *Pool) error {
 	if pl.banded {
 		return errors.New("core: banded pools persist through the segment store, not SavePool")
@@ -439,7 +415,6 @@ func writePoolParams(lw *leWriter, pl *Pool) {
 	lw.u32(uint32(pl.opts.MinLogCols))
 	lw.u32(uint32(pl.opts.MaxLogCols))
 	lw.u32(uint32(pl.opts.Estimator))
-	// v3: streaming-ingest metadata.
 	lw.u32(uint32(pl.opts.PanelCols))
 	lw.u64(uint64(pl.baseCol))
 }
@@ -459,9 +434,8 @@ func sortedPoolKeys(pl *Pool) [][2]int {
 }
 
 // poolShell parses the pool header fields into an empty Pool, validating
-// them. Versions 1 and 2 share a prefix; version 3 appends the
-// streaming-ingest metadata (panel width, base column).
-func poolShell(lr *leReader, version uint32) (*Pool, error) {
+// them.
+func poolShell(lr *leReader) (*Pool, error) {
 	pl := &Pool{entries: make(map[[2]int][compoundSets]*PlaneSet)}
 	pl.p = lr.f64()
 	pl.k = int(lr.u64())
@@ -473,10 +447,8 @@ func poolShell(lr *leReader, version uint32) (*Pool, error) {
 	pl.opts.MinLogCols = int(lr.u32())
 	pl.opts.MaxLogCols = int(lr.u32())
 	pl.opts.Estimator = Estimator(lr.u32())
-	if version >= persistVersion {
-		pl.opts.PanelCols = int(lr.u32())
-		pl.baseCol = int(lr.u64())
-	}
+	pl.opts.PanelCols = int(lr.u32())
+	pl.baseCol = int(lr.u64())
 	if lr.err != nil {
 		return nil, fmt.Errorf("core: reading pool header: %w", lr.err)
 	}
@@ -494,9 +466,9 @@ func poolShell(lr *leReader, version uint32) (*Pool, error) {
 }
 
 // loadPoolEntries rebuilds every plane set: the sketcher regenerates
-// from the recorded seed derivation, the payload comes from readPayload
-// (version-specific framing).
-func loadPoolEntries(pl *Pool, readPayload func(n int) ([]float64, error)) error {
+// from the recorded seed derivation, the payload is the next framed
+// section of lr.
+func loadPoolEntries(pl *Pool, lr *leReader) error {
 	for i := pl.opts.MinLogRows; i <= pl.opts.MaxLogRows; i++ {
 		for j := pl.opts.MinLogCols; j <= pl.opts.MaxLogCols; j++ {
 			var sets [compoundSets]*PlaneSet
@@ -520,9 +492,9 @@ func loadPoolEntries(pl *Pool, readPayload func(n int) ([]float64, error)) error
 				if err != nil {
 					return err
 				}
-				ps.data, err = readPayload(n)
-				if err != nil {
-					return fmt.Errorf("core: reading pool payload: %w", err)
+				ps.data = lr.framedFloats(n)
+				if lr.err != nil {
+					return fmt.Errorf("core: reading pool payload: %w", lr.err)
 				}
 				sets[s] = ps
 			}
@@ -532,10 +504,9 @@ func loadPoolEntries(pl *Pool, readPayload func(n int) ([]float64, error)) error
 	return nil
 }
 
-// LoadPool reads a pool saved by SavePool (v2, checksummed) or by a v1
-// build of this package, rebuilding each Sketcher from the recorded seed
-// derivation and restoring the correlation payloads without
-// recomputation.
+// LoadPool reads a pool saved by SavePool, rebuilding each Sketcher from
+// the recorded seed derivation and restoring the correlation payloads
+// without recomputation.
 func LoadPool(r io.Reader) (*Pool, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -550,37 +521,19 @@ func LoadPool(r io.Reader) (*Pool, error) {
 	if lr.err != nil {
 		return nil, fmt.Errorf("core: reading pool: %w", lr.err)
 	}
-	var pl *Pool
-	switch v {
-	case persistVersionV1:
-		var err error
-		if pl, err = poolShell(lr, v); err != nil {
-			return nil, err
-		}
-		if err := loadPoolEntries(pl, func(n int) ([]float64, error) {
-			data := lr.floatsN(n, nil)
-			return data, lr.err
-		}); err != nil {
-			return nil, err
-		}
-	case persistVersionV2, persistVersion:
-		hdr := lr.framedBytes(maxHeaderBytes)
-		if lr.err != nil {
-			return nil, fmt.Errorf("core: reading pool header: %w", lr.err)
-		}
-		hlr := &leReader{r: bufio.NewReader(bytes.NewReader(hdr))}
-		var err error
-		if pl, err = poolShell(hlr, v); err != nil {
-			return nil, err
-		}
-		if err := loadPoolEntries(pl, func(n int) ([]float64, error) {
-			data := lr.framedFloats(n)
-			return data, lr.err
-		}); err != nil {
-			return nil, err
-		}
-	default:
+	if v != persistVersion {
 		return nil, fmt.Errorf("core: unsupported pool version %d", v)
+	}
+	hdr := lr.framedBytes(maxHeaderBytes)
+	if lr.err != nil {
+		return nil, fmt.Errorf("core: reading pool header: %w", lr.err)
+	}
+	pl, err := poolShell(&leReader{r: bufio.NewReader(bytes.NewReader(hdr))})
+	if err != nil {
+		return nil, err
+	}
+	if err := loadPoolEntries(pl, lr); err != nil {
+		return nil, err
 	}
 	return pl, nil
 }
@@ -593,7 +546,7 @@ func SavePoolFile(path string, pl *Pool) error {
 	return atomicio.WriteFile(path, func(w io.Writer) error { return SavePool(w, pl) })
 }
 
-// LoadPoolFile reads a pool snapshot from path (any format version).
+// LoadPoolFile reads a pool snapshot from path.
 func LoadPoolFile(path string) (*Pool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -609,7 +562,7 @@ func SavePlaneSetFile(path string, ps *PlaneSet) error {
 	return atomicio.WriteFile(path, func(w io.Writer) error { return SavePlaneSet(w, ps) })
 }
 
-// LoadPlaneSetFile reads a plane-set snapshot from path (v1 or v2).
+// LoadPlaneSetFile reads a plane-set snapshot from path.
 func LoadPlaneSetFile(path string) (*PlaneSet, error) {
 	f, err := os.Open(path)
 	if err != nil {

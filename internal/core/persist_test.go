@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -75,9 +76,15 @@ func TestLoadPlaneSetErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[4] = 0xee
-	if _, err := LoadPlaneSet(bytes.NewReader(data)); err == nil {
-		t.Error("bad version: expected error")
+	// Only the current format loads: the retired v1 and v2 headers are
+	// rejected like any unknown version.
+	for _, v := range []byte{1, 2, 0xee} {
+		bad := append([]byte(nil), data...)
+		bad[4] = v
+		_, err := LoadPlaneSet(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "unsupported plane-set version") {
+			t.Errorf("version %d: err = %v, want unsupported version", v, err)
+		}
 	}
 	// Truncated payload.
 	buf.Reset()
@@ -159,10 +166,15 @@ func TestLoadPoolErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	bad := append([]byte(nil), full...)
-	bad[4] = 9 // version
-	if _, err := LoadPool(bytes.NewReader(bad)); err == nil {
-		t.Error("bad version: expected error")
+	// Only the current format loads: the retired v1 and v2 headers are
+	// rejected like any unknown version.
+	for _, v := range []byte{1, 2, 9} {
+		bad := append([]byte(nil), full...)
+		bad[4] = v
+		_, err := LoadPool(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "unsupported pool version") {
+			t.Errorf("version %d: err = %v, want unsupported version", v, err)
+		}
 	}
 	if _, err := LoadPool(bytes.NewReader(full[:len(full)-20])); err == nil {
 		t.Error("truncated: expected error")

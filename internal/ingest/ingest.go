@@ -5,19 +5,24 @@
 // The tabstore is the write-ahead log. A pushed record (POST /v1/ingest
 // or tabmine-ingest) lands durably as a store day before the push is
 // acknowledged; the in-memory window table, the dyadic sketch pool, and
-// the served snapshot catch up asynchronously. A restart therefore
-// never loses acknowledged data: Resume compares the persisted pool's
-// high-water column against the store and replays exactly the missing
-// days.
+// the served snapshot catch up asynchronously.
+//
+// The pool's sealed prefix persists in a segment store
+// (internal/segstore): immutable memory-mapped segment files that the
+// pool reads its sealed lanes from. A restart therefore never loses
+// acknowledged data and replays no sealed day: Resume maps the segments,
+// rebuilds only the unsealed fringe from the store, and replays only
+// the days that were acknowledged but never sealed.
 //
 // Pool maintenance is incremental. Pools run in panel mode
 // (core.PoolOptions.PanelCols), where appending day columns recomputes
 // only the panels whose overlap-save slab reaches the new columns —
 // byte-identical to a from-scratch build over the final table, at a
 // small fraction of the FFT work (core's append tests assert both
-// properties). When the sliding window overflows, whole oldest days are
-// trimmed with hysteresis (down to about half the window, not by one
-// day per append) and the pool is rebuilt once over the shorter window.
+// properties). After every build or append, newly sealable columns are
+// written as a segment; when the sliding window overflows, whole
+// leading segments are deleted with hysteresis (down to about half the
+// window, not by one day per append).
 //
 // Backpressure is explicit: days appended to the store but not yet
 // sketched form the pending backlog, and once it reaches QueueLen new
@@ -30,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"sync"
 	"time"
 
@@ -54,26 +58,20 @@ type Options struct {
 	// by the ingester and must be left zero.
 	Pool core.PoolOptions
 	// WindowDays bounds the sliding window over the time axis, in whole
-	// store days. When the window exceeds it, the oldest days are
-	// trimmed down to about half the bound (hysteresis, so trims are
-	// rare) and the pool is rebuilt over the shorter window. 0 keeps
-	// every day forever.
+	// store days. When the window exceeds it, the oldest segments are
+	// deleted down to about half the bound (hysteresis, so trims are
+	// rare). 0 keeps every day forever.
 	WindowDays int
 	// QueueLen bounds the pending backlog: days durably appended but
 	// not yet incorporated into the pool. At the bound, pushes shed
 	// with server.ErrIngestBacklog (default 8).
 	QueueLen int
-	// PoolFile, when non-empty, persists the pool (atomically, in the
-	// checksummed snapshot format) after every rebuild, enabling
-	// crash-safe Resume.
-	PoolFile string
-	// SegmentDir, when non-empty, selects segment mode: the sealed
-	// prefix of the pool persists as immutable memory-mapped segment
-	// files under this directory (internal/segstore) instead of a
-	// monolithic pool snapshot. Restart maps the segments and rebuilds
-	// only the unsealed fringe — no day replay — and window trimming
-	// becomes whole-segment deletion. Mutually exclusive with PoolFile;
-	// requires a power-of-two PanelCols (the default 32 qualifies).
+	// SegmentDir is the segment-store directory (required; usually
+	// tabstore.Store.SegmentsDir). The sealed prefix of the pool persists
+	// there as immutable memory-mapped segment files (internal/segstore).
+	// Restart maps the segments and rebuilds only the unsealed fringe,
+	// and window trimming is whole-segment deletion. Segments require a
+	// power-of-two PanelCols (the default 32 qualifies).
 	SegmentDir string
 	// Poll, when positive, re-reads the store manifest this often so
 	// days appended by another process are picked up (tail mode).
@@ -109,13 +107,13 @@ type Ingester struct {
 	tb       *table.Table // the window's columns, stitched
 	pool     *core.Pool
 
-	// Segment-mode state: the segment store and the working view the
-	// current pool's sealed bands are mapped through. The working view is
-	// swapped after every maintenance round; published snapshots hold
-	// their own clones, so compaction reclaims files only after the last
-	// snapshot referencing them retires. In pool-file mode both are nil.
-	// Note that in segment mode base is aligned to segments, not days, so
-	// winStart's day may be only partly inside the window.
+	// The segment store (opened once the tabstore holds a day) and the
+	// working view the current pool's sealed bands are mapped through.
+	// The working view is swapped after every maintenance round;
+	// published snapshots hold their own clones, so compaction reclaims
+	// files only after the last snapshot referencing them retires. Note
+	// that base is aligned to segments, not days, so winStart's day may
+	// be only partly inside the window.
 	segs *segstore.Store
 	view *segstore.View
 }
@@ -135,17 +133,11 @@ func New(store *tabstore.Store, opts Options) (*Ingester, error) {
 	if opts.Pool.PanelCols == 0 {
 		opts.Pool.PanelCols = defaultPanelCols
 	}
-	if opts.Pool.PanelCols < 0 {
-		return nil, fmt.Errorf("ingest: negative PanelCols")
+	if opts.Pool.PanelCols < 0 || opts.Pool.PanelCols&(opts.Pool.PanelCols-1) != 0 {
+		return nil, fmt.Errorf("ingest: PanelCols must be a power of two, got %d", opts.Pool.PanelCols)
 	}
-	if opts.SegmentDir != "" {
-		if opts.PoolFile != "" {
-			return nil, fmt.Errorf("ingest: SegmentDir and PoolFile are mutually exclusive")
-		}
-		if opts.Pool.PanelCols&(opts.Pool.PanelCols-1) != 0 {
-			return nil, fmt.Errorf("ingest: segment mode requires a power-of-two PanelCols, got %d",
-				opts.Pool.PanelCols)
-		}
+	if opts.SegmentDir == "" {
+		return nil, fmt.Errorf("ingest: SegmentDir is required")
 	}
 	if opts.WindowDays < 0 || opts.QueueLen < 0 {
 		return nil, fmt.Errorf("ingest: negative WindowDays or QueueLen")
@@ -164,13 +156,12 @@ func New(store *tabstore.Store, opts Options) (*Ingester, error) {
 // published snapshots instead.
 func (ing *Ingester) Pool() *core.Pool { return ing.pool }
 
-// Close releases segment-mode resources: the working view's pins and
-// the segment store's own mappings. Published snapshots hold their own
-// view clones, so closing the ingester never unmaps a snapshot that is
-// still serving. The pool must not be queried after Close (its sealed
-// bands may be backed by the released mappings). Pool-file mode holds
-// no such resources and Close is a no-op. Owned, like the pool, by the
-// Resume/Run goroutine.
+// Close releases the working view's pins and the segment store's own
+// mappings. Published snapshots hold their own view clones, so closing
+// the ingester never unmaps a snapshot that is still serving. The pool
+// must not be queried after Close (its sealed bands may be backed by
+// the released mappings). Owned, like the pool, by the Resume/Run
+// goroutine.
 func (ing *Ingester) Close() {
 	if ing.view != nil {
 		ing.view.Release()
@@ -229,38 +220,20 @@ func (ing *Ingester) signal() {
 	}
 }
 
-// Resume restores the persisted pool (the memory-mapped segment store
-// in segment mode, the PoolFile snapshot otherwise), replays every
-// store day past its high-water column, and publishes the caught-up
-// snapshot. The store is the authority: an unusable or mismatched pool
-// file just means a from-scratch rebuild.
+// Resume maps the persisted segments into a pool over the store
+// window, replays every store day past the sealed prefix, and publishes
+// the caught-up snapshot. The store is the authority: segments written
+// for other pool parameters are discarded and the pool rebuilt from the
+// store. Corrupt segments fail Resume (run tabmine-store fsck).
 func (ing *Ingester) Resume(ctx context.Context) error {
-	if ing.opts.SegmentDir != "" {
-		if err := ing.resumeSegments(ctx); err != nil {
-			return err
-		}
-	} else if ing.opts.PoolFile != "" {
-		pool, err := core.LoadPoolFile(ing.opts.PoolFile)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot: nothing persisted yet.
-		case err != nil:
-			ing.opts.Logf("ingest: pool snapshot unusable (%v); rebuilding from the store", err)
-		default:
-			if err := ing.adopt(pool); err != nil {
-				ing.opts.Logf("ingest: persisted pool does not match the store (%v); rebuilding", err)
-			} else {
-				ing.opts.Logf("ingest: resumed pool at column %d of %d",
-					pool.HighWaterCols(), ing.store.ColsTotal())
-			}
-		}
-		segstore.SetRestartReplayDays(ing.Pending())
+	if err := ing.resumeSegments(ctx); err != nil {
+		return err
 	}
 	if err := ing.drain(ctx); err != nil {
 		return err
 	}
-	// Publish even when nothing needed replay: a restart with a current
-	// pool file must still hand the server its first snapshot.
+	// Publish even when nothing needed replay: a restart over fully
+	// sealed segments must still hand the server its first snapshot.
 	if err := ing.publish(ctx); err != nil {
 		ing.opts.Logf("ingest: snapshot not published: %v", err)
 	}
@@ -269,10 +242,10 @@ func (ing *Ingester) Resume(ctx context.Context) error {
 
 // publish builds a serving snapshot over the current window and hands
 // it to the Publisher. No-op without a Publisher, a snapshot geometry,
-// or a pool. In segment mode the snapshot holds its own clone of the
-// working segment view, released when the snapshot's last reference
-// drops — that clone is what defers file reclamation until no query
-// can still read the mapping. The ingester's own snapshot reference is
+// or a pool. The snapshot holds its own clone of the working segment
+// view, released when the snapshot's last reference drops — that clone
+// is what defers file reclamation until no query can still read the
+// mapping. The ingester's own snapshot reference is
 // released after publishing: a Publisher that keeps the snapshot (the
 // server does, via Swap's retain) must hold its own reference.
 func (ing *Ingester) publish(ctx context.Context) error {
@@ -283,10 +256,8 @@ func (ing *Ingester) publish(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if ing.view != nil {
-		cl := ing.view.Clone()
-		sn.OnRelease(cl.Release)
-	}
+	cl := ing.view.Clone()
+	sn.OnRelease(cl.Release)
 	ing.opts.Publisher.Publish(sn)
 	sn.Release()
 	return nil
@@ -306,12 +277,22 @@ func (ing *Ingester) segParams() segstore.Params {
 }
 
 // ensureSegs lazily opens the segment store; it needs the table row
-// count, which is unknown until the tabstore holds a day.
+// count, which is unknown until the tabstore holds a day. Segments
+// written for other pool parameters (a restart with a different -k,
+// -p or seed) are discarded: the tabstore holds every column they
+// sealed, so the pool is rebuilt from it.
 func (ing *Ingester) ensureSegs() error {
 	if ing.segs != nil {
 		return nil
 	}
-	st, err := segstore.Open(ing.opts.SegmentDir, ing.segParams())
+	dir, params := ing.opts.SegmentDir, ing.segParams()
+	st, err := segstore.Open(dir, params)
+	if errors.Is(err, segstore.ErrParamsMismatch) {
+		ing.opts.Logf("ingest: segment store does not match the configured pool (%v); rebuilding from the store", err)
+		if err = segstore.Reset(dir, params); err == nil {
+			st, err = segstore.Open(dir, params)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -319,10 +300,10 @@ func (ing *Ingester) ensureSegs() error {
 	return nil
 }
 
-// resumeSegments is segment-mode restart: map the live segment set and
-// build one banded pool over the window table whose sealed prefix is
-// the mapping — no day-by-day replay, one fringe FFT pass regardless of
-// how many days the segments cover. The restart-replay-days expvar gets
+// resumeSegments maps the live segment set and builds one banded pool
+// over the window table whose sealed prefix is the mapping — no
+// day-by-day replay, one fringe FFT pass regardless of how many days
+// the segments cover. The restart-replay-days expvar gets
 // the number of store days lying entirely past the sealed prefix (0
 // once a store has sealed past its fringe; the mmap-demo drill asserts
 // exactly that).
@@ -368,10 +349,8 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 		off += w
 	}
 	v := ing.segs.Acquire()
-	opts := ing.opts.Pool
-	opts.BaseCol = base
-	opts.Context = ctx
-	pool, err := core.NewBandedPool(tb, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed, opts, v.Bands(base))
+	pool, err := core.NewBandedPool(tb, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed,
+		ing.poolOptions(ctx, base), v.Bands(base))
 	if err != nil {
 		v.Release()
 		return fmt.Errorf("ingest: mapping segment store into a pool: %w", err)
@@ -394,10 +373,10 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	return nil
 }
 
-// maintainSegments is the segment-mode maintenance round run after every
-// pool build or append: seal the pool's newly sealable columns as an L0
-// segment, trim the window by whole segments if it overflowed, run at
-// most one compaction merge, and reband the pool onto a fresh view of
+// maintainSegments is the maintenance round run after every pool build
+// or append: seal the pool's newly sealable columns as an L0 segment,
+// trim the window by whole segments if it overflowed, run at most one
+// compaction merge, and reband the pool onto a fresh view of
 // the live set so its sealed prefix reads from the mappings. Returns the
 // (possibly trimmed) window table and the rebanded pool with the updated
 // window coordinates; ing.view is swapped to the fresh view.
@@ -471,10 +450,8 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 	v := ing.segs.Acquire()
 	var err error
 	if pool == nil {
-		opts := ing.opts.Pool
-		opts.BaseCol = base
-		opts.Context = ctx
-		pool, err = core.NewBandedPool(tb, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed, opts, v.Bands(base))
+		pool, err = core.NewBandedPool(tb, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed,
+			ing.poolOptions(ctx, base), v.Bands(base))
 	} else {
 		pool, err = pool.Reband(v.Bands(base))
 	}
@@ -506,62 +483,6 @@ func (ing *Ingester) dayContaining(col int) (day, dayStart int, err error) {
 		off += w
 	}
 	return 0, 0, fmt.Errorf("ingest: no store day contains column %d", col)
-}
-
-// adopt validates a loaded pool against the store and the configured
-// parameters, reloads its window table, and positions the cursor after
-// the last day the pool covers.
-func (ing *Ingester) adopt(pool *core.Pool) error {
-	if pool.PanelCols() != ing.opts.Pool.PanelCols {
-		return fmt.Errorf("panel width %d, configured %d", pool.PanelCols(), ing.opts.Pool.PanelCols)
-	}
-	if pool.P() != ing.opts.PoolP || pool.K() != ing.opts.PoolK {
-		return fmt.Errorf("pool is p=%g k=%d, configured p=%g k=%d",
-			pool.P(), pool.K(), ing.opts.PoolP, ing.opts.PoolK)
-	}
-	rows, _ := pool.TableDims()
-	if rows != ing.store.Rows() {
-		return fmt.Errorf("pool has %d rows, store has %d", rows, ing.store.Rows())
-	}
-	start, err := ing.dayAtColumn(pool.BaseCol())
-	if err != nil {
-		return fmt.Errorf("base column %d: %w", pool.BaseCol(), err)
-	}
-	end, err := ing.dayAtColumn(pool.HighWaterCols())
-	if err != nil {
-		return fmt.Errorf("high-water column %d: %w", pool.HighWaterCols(), err)
-	}
-	tb, err := ing.store.LoadRange(start, end)
-	if err != nil {
-		return err
-	}
-	ing.mu.Lock()
-	ing.cursor = end
-	ing.mu.Unlock()
-	ing.winStart, ing.base = start, pool.BaseCol()
-	ing.tb, ing.pool = tb, pool
-	return nil
-}
-
-// dayAtColumn maps an absolute column to the store day starting exactly
-// there. A column landing mid-day means the pool and store disagree on
-// day boundaries (a store rewritten or fscked underneath the pool).
-func (ing *Ingester) dayAtColumn(col int) (int, error) {
-	off := 0
-	for i := 0; i <= ing.store.NumDays(); i++ {
-		if off == col {
-			return i, nil
-		}
-		if off > col || i == ing.store.NumDays() {
-			break
-		}
-		w, err := ing.store.DayCols(i)
-		if err != nil {
-			return 0, err
-		}
-		off += w
-	}
-	return 0, fmt.Errorf("no day boundary at column %d", col)
 }
 
 // Run processes pushed days until ctx is cancelled: drain the backlog,
@@ -609,9 +530,9 @@ func (ing *Ingester) drain(ctx context.Context) error {
 }
 
 // step incorporates the days appended since the cursor: extend the
-// window table, append to (or first-build) the pool, trim the window if
-// it overflowed, persist the pool, publish a snapshot, and only then
-// advance the cursor. The expensive pool work runs outside the lock so
+// window table, append to (or first-build) the pool, run the
+// maintenance round (seal, trim, compact), publish a snapshot, and only
+// then advance the cursor. The expensive pool work runs outside the lock so
 // pushes keep landing in the store during a rebuild.
 func (ing *Ingester) step(ctx context.Context) (bool, error) {
 	ing.mu.Lock()
@@ -656,55 +577,21 @@ func (ing *Ingester) step(ctx context.Context) (bool, error) {
 		return false, err
 	}
 
-	winStart, base := ing.winStart, ing.base
 	var pool *core.Pool
 	if ing.pool == nil {
-		pool, err = ing.newPool(ctx, next, base)
+		pool, err = core.NewPool(next, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed,
+			ing.poolOptions(ctx, ing.base))
 	} else {
 		pool, err = ing.pool.Append(ctx, next)
 	}
 	if err != nil {
 		return false, err
 	}
-
-	if ing.opts.SegmentDir != "" {
-		next, pool, winStart, base, err = ing.maintainSegments(ctx, next, pool, winStart, base, target)
-		if err != nil {
-			return false, err
-		}
-	} else if ing.opts.WindowDays > 0 && target-winStart > ing.opts.WindowDays {
-		// Hysteresis: trim to about half the bound so the rebuild cost
-		// amortizes over many appends instead of recurring per day.
-		keep := (ing.opts.WindowDays + 1) / 2
-		newStart := target - keep
-		ing.mu.Lock()
-		drop := 0
-		for i := winStart; i < newStart && err == nil; i++ {
-			var w int
-			w, err = ing.store.DayCols(i)
-			drop += w
-		}
-		ing.mu.Unlock()
-		if err != nil {
-			return false, err
-		}
-		trimmed := table.New(rows, next.Cols()-drop)
-		for r := 0; r < rows; r++ {
-			copy(trimmed.Row(r), next.Row(r)[drop:])
-		}
-		pool, err = ing.newPool(ctx, trimmed, base+drop)
-		if err != nil {
-			return false, err
-		}
-		ing.opts.Logf("ingest: window trimmed to days [%d, %d) (%d cols dropped)", newStart, target, drop)
-		next, winStart, base = trimmed, newStart, base+drop
+	next, pool, winStart, base, err := ing.maintainSegments(ctx, next, pool, ing.winStart, ing.base, target)
+	if err != nil {
+		return false, err
 	}
 
-	if ing.opts.PoolFile != "" {
-		if err := core.SavePoolFile(ing.opts.PoolFile, pool); err != nil {
-			return false, err
-		}
-	}
 	ing.winStart, ing.base = winStart, base
 	ing.tb, ing.pool = next, pool
 	if err := ing.publish(ctx); err != nil {
@@ -720,11 +607,13 @@ func (ing *Ingester) step(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-func (ing *Ingester) newPool(ctx context.Context, t *table.Table, base int) (*core.Pool, error) {
+// poolOptions is the configured pool options for a window starting at
+// absolute column base, cancellable through ctx.
+func (ing *Ingester) poolOptions(ctx context.Context, base int) core.PoolOptions {
 	opts := ing.opts.Pool
 	opts.BaseCol = base
 	opts.Context = ctx
-	return core.NewPool(t, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed, opts)
+	return opts
 }
 
 // Wake prompts the maintenance loop to re-read the manifest and drain

@@ -6,15 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/fft"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/tabstore"
@@ -26,13 +27,19 @@ const (
 	testDayCols = 8
 )
 
-func testOptions() Options {
+// testOptions is the small test geometry with its own segment
+// directory. Day width equals the segment alignment
+// (max(PanelCols, 2^MaxLogCols) = 8), so segment boundaries fall on day
+// boundaries.
+func testOptions(t *testing.T) Options {
+	t.Helper()
 	return Options{
 		PoolP: 1, PoolK: 4, PoolSeed: 7,
 		Pool: core.PoolOptions{
 			MinLogRows: 1, MaxLogRows: 3, MinLogCols: 1, MaxLogCols: 3,
 			PanelCols: 8,
 		},
+		SegmentDir: filepath.Join(t.TempDir(), "segments"),
 	}
 }
 
@@ -68,16 +75,44 @@ func mustPush(t *testing.T, ing *Ingester, label string, day *table.Table) {
 	}
 }
 
-// poolBytes is the byte-identity yardstick: the persisted encoding
-// covers every lane byte, seed, and parameter, so equal bytes mean
-// equal pools.
-func poolBytes(t *testing.T, pl *core.Pool) []byte {
+// assertPoolsEqual is the byte-identity yardstick: equal parameters,
+// geometry and window position, and every lane equal bit for bit. It
+// reads lanes through CopyLaneBand, so it compares heap and banded
+// (mmap-backed) pools alike.
+func assertPoolsEqual(t *testing.T, want, got *core.Pool, label string) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := core.SavePool(&buf, pl); err != nil {
-		t.Fatal(err)
+	if want.P() != got.P() || want.K() != got.K() || want.Seed() != got.Seed() {
+		t.Fatalf("%s: p/k/seed %v/%d/%d vs %v/%d/%d", label,
+			got.P(), got.K(), got.Seed(), want.P(), want.K(), want.Seed())
 	}
-	return buf.Bytes()
+	rows, cols := want.TableDims()
+	if grows, gcols := got.TableDims(); grows != rows || gcols != cols {
+		t.Fatalf("%s: dims %dx%d, want %dx%d", label, grows, gcols, rows, cols)
+	}
+	if got.BaseCol() != want.BaseCol() || got.PanelCols() != want.PanelCols() {
+		t.Fatalf("%s: base/panel %d/%d, want %d/%d", label,
+			got.BaseCol(), got.PanelCols(), want.BaseCol(), want.PanelCols())
+	}
+	lanes := want.Lanes()
+	if g := got.Lanes(); !slices.Equal(g, lanes) {
+		t.Fatalf("%s: lanes %v, want %v", label, g, lanes)
+	}
+	var wbuf, gbuf []float64
+	for _, id := range lanes {
+		laneCols := cols - 1<<id.J + 1
+		var err error
+		if wbuf, err = want.CopyLaneBand(id, 0, laneCols, wbuf); err != nil {
+			t.Fatal(err)
+		}
+		if gbuf, err = got.CopyLaneBand(id, 0, laneCols, gbuf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range wbuf {
+			if math.Float64bits(wbuf[i]) != math.Float64bits(gbuf[i]) {
+				t.Fatalf("%s: lane %+v element %d: %v, want %v", label, id, i, gbuf[i], wbuf[i])
+			}
+		}
+	}
 }
 
 // scratchPool builds the reference pool from scratch over store days
@@ -104,7 +139,7 @@ func scratchPool(t *testing.T, st *tabstore.Store, from, to int, opts Options) *
 
 func TestPushAndIncrementalMaintenance(t *testing.T) {
 	st, _ := newTestStore(t)
-	ing, err := New(st, testOptions())
+	ing, err := New(st, testOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +162,12 @@ func TestPushAndIncrementalMaintenance(t *testing.T) {
 	if got, want := ing.Pool().HighWaterCols(), st.ColsTotal(); got != want {
 		t.Fatalf("HighWaterCols = %d, store has %d", got, want)
 	}
-	want := poolBytes(t, scratchPool(t, st, 0, 4, ing.opts))
-	if !bytes.Equal(poolBytes(t, ing.Pool()), want) {
-		t.Fatal("incrementally maintained pool differs from a from-scratch build")
-	}
+	assertPoolsEqual(t, scratchPool(t, st, 0, 4, ing.opts), ing.Pool(), "incremental vs from scratch")
 }
 
 func TestBacklogSheds(t *testing.T) {
 	st, _ := newTestStore(t)
-	opts := testOptions()
+	opts := testOptions(t)
 	opts.QueueLen = 2
 	ing, err := New(st, opts)
 	if err != nil {
@@ -157,94 +189,56 @@ func TestBacklogSheds(t *testing.T) {
 	mustPush(t, ing, "d02", day(2))
 }
 
-// Crash-safe resume: the store (the WAL) runs ahead of the persisted
-// pool; a restart replays exactly the missing days and ends
-// byte-identical to a from-scratch build — at less FFT work.
-func TestResumeReplaysMissingDays(t *testing.T) {
+// The store is the authority: a restart with different pool parameters
+// (here k) over segments sealed for the old ones discards them, logs
+// it, reclaims their files, and rebuilds from the store.
+func TestResumeDiscardsMismatchedPool(t *testing.T) {
 	st, dir := newTestStore(t)
-	opts := testOptions()
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
-	ing, err := New(st, opts)
+	opts := testOptions(t)
+	other := opts
+	other.PoolK = 8
+	ing, err := New(st, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		mustPush(t, ing, fmt.Sprintf("d%02d", i), day(uint64(i)))
 	}
 	if err := ing.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The crash: one more day lands durably, but the process dies
-	// before the pool catches up.
-	mustPush(t, ing, "d03", day(3))
+	if len(ing.segs.SegmentFiles()) == 0 {
+		t.Fatal("nothing sealed under the old parameters")
+	}
+	ing.Close()
 
 	st2, err := tabstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logged []string
+	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	ing2, err := New(st2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := fft.CorrelationCount()
 	if err := ing2.Resume(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resumeCorr := fft.CorrelationCount() - before
-
-	before = fft.CorrelationCount()
-	want := poolBytes(t, scratchPool(t, st2, 0, 4, opts))
-	scratchCorr := fft.CorrelationCount() - before
-
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), want) {
-		t.Fatal("resumed pool differs from a from-scratch build")
-	}
-	if resumeCorr >= scratchCorr {
-		t.Fatalf("resume ran %d correlations, not fewer than the %d of a full rebuild",
-			resumeCorr, scratchCorr)
-	}
-	t.Logf("resume: %d correlations vs %d from scratch", resumeCorr, scratchCorr)
-}
-
-// A mismatched pool file (different parameters than configured) is
-// discarded and the store rebuilds the truth.
-func TestResumeDiscardsMismatchedPool(t *testing.T) {
-	st, _ := newTestStore(t)
-	opts := testOptions()
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
-	ing, err := New(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPush(t, ing, "d00", day(0))
-	mustPush(t, ing, "d01", day(1))
-
-	// Persist a pool with a different k where the ingester expects its own.
-	other := opts
-	other.PoolK = 8
-	if err := core.SavePoolFile(opts.PoolFile, scratchPool(t, st, 0, 1, other)); err != nil {
-		t.Fatal(err)
-	}
-	var logged []string
-	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-	ing2, err := New(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ing2.Resume(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), poolBytes(t, scratchPool(t, st, 0, 2, opts))) {
-		t.Fatal("resume after discarding a mismatched pool is not a clean rebuild")
-	}
-	found := false
-	for _, l := range logged {
-		if strings.Contains(l, "does not match") {
-			found = true
-		}
-	}
-	if !found {
+	defer ing2.Close()
+	assertPoolsEqual(t, scratchPool(t, st2, 0, 4, opts), ing2.Pool(), "rebuild after discarding mismatched segments")
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "does not match") }) {
 		t.Fatalf("discard was not logged: %q", logged)
+	}
+	// The old files were reclaimed: what is on disk is exactly the live
+	// set sealed under the configured parameters.
+	onDisk, err := filepath.Glob(filepath.Join(opts.SegmentDir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := ing2.segs.SegmentFiles()
+	if len(live) == 0 || len(onDisk) != len(live) {
+		t.Fatalf("%d segment files on disk, %d live", len(onDisk), len(live))
 	}
 }
 
@@ -254,7 +248,8 @@ func TestResumeDiscardsMismatchedPool(t *testing.T) {
 // and the pool ends byte-identical to a from-scratch build.
 func TestTornAppendRecovery(t *testing.T) {
 	st, dir := newTestStore(t)
-	ing, err := New(st, testOptions())
+	opts := testOptions(t)
+	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +285,7 @@ func TestTornAppendRecovery(t *testing.T) {
 	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stray temp not swept on reopen: %v", err)
 	}
-	ing2, err := New(st2, testOptions())
+	ing2, err := New(st2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,16 +296,14 @@ func TestTornAppendRecovery(t *testing.T) {
 	if err := ing2.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), poolBytes(t, scratchPool(t, st2, 0, 3, ing2.opts))) {
-		t.Fatal("pool after torn-append recovery differs from a from-scratch build")
-	}
+	assertPoolsEqual(t, scratchPool(t, st2, 0, 3, ing2.opts), ing2.Pool(), "torn-append recovery vs from scratch")
 }
 
 // Cancellation mid-rebuild publishes nothing and advances nothing; the
 // next drain completes the same work byte-identically.
 func TestMidRebuildCancellation(t *testing.T) {
 	st, _ := newTestStore(t)
-	ing, err := New(st, testOptions())
+	ing, err := New(st, testOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,43 +329,7 @@ func TestMidRebuildCancellation(t *testing.T) {
 	if err := ing.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(poolBytes(t, ing.Pool()), poolBytes(t, scratchPool(t, st, 0, 4, ing.opts))) {
-		t.Fatal("drain after cancellation differs from a from-scratch build")
-	}
-}
-
-func TestWindowTrimHysteresis(t *testing.T) {
-	st, _ := newTestStore(t)
-	opts := testOptions()
-	opts.WindowDays = 4
-	ing, err := New(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		mustPush(t, ing, fmt.Sprintf("d%02d", i), day(uint64(i)))
-		if err := ing.drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Day 4 overflowed the 4-day window and trimmed down to 2 kept days
-	// (hysteresis), so after day 5 the window is days [3, 6).
-	if ing.winStart != 3 {
-		t.Fatalf("window starts at day %d, want 3", ing.winStart)
-	}
-	base, err := st.ColOffset(ing.winStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ing.Pool().BaseCol() != base {
-		t.Fatalf("pool BaseCol = %d, want %d", ing.Pool().BaseCol(), base)
-	}
-	if got, want := ing.Pool().HighWaterCols(), st.ColsTotal(); got != want {
-		t.Fatalf("HighWaterCols = %d, want %d", got, want)
-	}
-	if !bytes.Equal(poolBytes(t, ing.Pool()), poolBytes(t, scratchPool(t, st, 3, 6, opts))) {
-		t.Fatal("trimmed-window pool differs from a from-scratch build over the window")
-	}
+	assertPoolsEqual(t, scratchPool(t, st, 0, 4, ing.opts), ing.Pool(), "drain after cancellation vs from scratch")
 }
 
 type capturingPublisher struct {
@@ -384,7 +341,7 @@ func (p *capturingPublisher) Publish(sn *server.Snapshot) { p.snaps = append(p.s
 func TestPublishesSnapshots(t *testing.T) {
 	st, _ := newTestStore(t)
 	pub := &capturingPublisher{}
-	opts := testOptions()
+	opts := testOptions(t)
 	opts.Publisher = pub
 	opts.Snapshot = server.SnapshotConfig{TileRows: 8, TileCols: 8}
 	ing, err := New(st, opts)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fft"
 	"repro/internal/segstore"
 	"repro/internal/server"
@@ -16,65 +16,17 @@ import (
 	"repro/internal/tabstore"
 )
 
-// segOptions is testOptions in segment mode: the sealed prefix lives in
-// mmap-backed segment files instead of a monolithic pool snapshot.
-func segOptions(t *testing.T) Options {
-	t.Helper()
-	opts := testOptions()
-	opts.SegmentDir = filepath.Join(t.TempDir(), "segments")
-	return opts
-}
-
-// assertSketchesEqual is the banded-pool byte-identity yardstick:
-// SavePool refuses banded pools, so equality is asserted sketch-by-
-// sketch over every enumerable rect, to the bit.
-func assertSketchesEqual(t *testing.T, want, got *core.Pool, label string) {
-	t.Helper()
-	rows, cols := want.TableDims()
-	grows, gcols := got.TableDims()
-	if rows != grows || cols != gcols {
-		t.Fatalf("%s: dims %dx%d vs %dx%d", label, rows, cols, grows, gcols)
-	}
-	var rects []table.Rect
-	for _, rr := range []int{2, 4, 7} {
-		for _, rc := range []int{2, 4, 7} {
-			for r0 := 0; r0+rr <= rows; r0 += 5 {
-				for c0 := 0; c0+rc <= cols; c0 += 3 {
-					rects = append(rects, table.Rect{R0: r0, C0: c0, Rows: rr, Cols: rc})
-				}
-			}
-		}
-	}
-	var wbuf, gbuf []float64
-	for _, rect := range rects {
-		var err error
-		wbuf, err = want.Sketch(rect, wbuf)
-		if err != nil {
-			continue
-		}
-		gbuf, err = got.Sketch(rect, gbuf)
-		if err != nil {
-			t.Fatalf("%s: rect %v: %v", label, rect, err)
-		}
-		for i := range wbuf {
-			if math.Float64bits(wbuf[i]) != math.Float64bits(gbuf[i]) {
-				t.Fatalf("%s: rect %v lane %d: %v != %v", label, rect, i, gbuf[i], wbuf[i])
-			}
-		}
-	}
-}
-
 func TestSegmentModeValidation(t *testing.T) {
 	st, _ := newTestStore(t)
-	opts := segOptions(t)
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
+	opts := testOptions(t)
+	opts.SegmentDir = ""
 	if _, err := New(st, opts); err == nil {
-		t.Fatal("SegmentDir+PoolFile accepted")
+		t.Fatal("empty SegmentDir accepted")
 	}
-	opts = segOptions(t)
+	opts = testOptions(t)
 	opts.Pool.PanelCols = 12
 	if _, err := New(st, opts); err == nil {
-		t.Fatal("non-power-of-two PanelCols accepted in segment mode")
+		t.Fatal("non-power-of-two PanelCols accepted")
 	}
 }
 
@@ -83,7 +35,7 @@ func TestSegmentModeValidation(t *testing.T) {
 // a from-scratch heap build over the same window.
 func TestSegmentModeMatchesHeapBuild(t *testing.T) {
 	st, _ := newTestStore(t)
-	opts := segOptions(t)
+	opts := testOptions(t)
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +59,7 @@ func TestSegmentModeMatchesHeapBuild(t *testing.T) {
 	if len(ing.segs.SegmentFiles()) == 0 {
 		t.Fatal("no segment files on disk")
 	}
-	assertSketchesEqual(t, scratchPool(t, st, 0, 5, opts), pl, "segment vs heap")
+	assertPoolsEqual(t, scratchPool(t, st, 0, 5, opts), pl, "segment vs heap")
 }
 
 // The instant-restart contract: after a kill, a new process maps the
@@ -116,7 +68,7 @@ func TestSegmentModeMatchesHeapBuild(t *testing.T) {
 // bit-identically to the pre-kill pool.
 func TestSegmentRestartNoReplayAndIdenticalAnswers(t *testing.T) {
 	st, dir := newTestStore(t)
-	opts := segOptions(t)
+	opts := testOptions(t)
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +106,8 @@ func TestSegmentRestartNoReplayAndIdenticalAnswers(t *testing.T) {
 		t.Fatalf("segment resume ran %d correlations, not fewer than the %d of a full rebuild",
 			resumeCorr, scratchCorr)
 	}
-	assertSketchesEqual(t, ing.Pool(), ing2.Pool(), "pre-kill vs restarted")
-	assertSketchesEqual(t, ref, ing2.Pool(), "heap vs restarted")
+	assertPoolsEqual(t, ing.Pool(), ing2.Pool(), "pre-kill vs restarted")
+	assertPoolsEqual(t, ref, ing2.Pool(), "heap vs restarted")
 	t.Logf("segment resume: %d correlations vs %d from scratch", resumeCorr, scratchCorr)
 }
 
@@ -163,7 +115,7 @@ func TestSegmentRestartNoReplayAndIdenticalAnswers(t *testing.T) {
 // those days — the WAL-ack contract — and reports them.
 func TestSegmentRestartReportsPendingReplay(t *testing.T) {
 	st, dir := newTestStore(t)
-	opts := segOptions(t)
+	opts := testOptions(t)
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -190,28 +142,34 @@ func TestSegmentRestartReportsPendingReplay(t *testing.T) {
 	if got := segstore.ReadStats().RestartReplayDays; got == 0 {
 		t.Fatal("restart_replay_days = 0 with an unsealed acknowledged day")
 	}
-	assertSketchesEqual(t, scratchPool(t, st2, 0, 5, opts), ing2.Pool(), "heap vs restarted with backlog")
+	assertPoolsEqual(t, scratchPool(t, st2, 0, 5, opts), ing2.Pool(), "heap vs restarted with backlog")
 }
 
-// Window trimming in segment mode is whole-segment deletion: the base
-// advances with the store's, and the trimmed pool still answers
-// bit-identically to a from-scratch build over the surviving window.
+// Window trimming is whole-segment deletion with hysteresis: an
+// overflowing window drops to about half the bound, not by one day per
+// append, and is not re-trimmed on the next day. The base advances with
+// the store's, and the trimmed pool still answers bit-identically to a
+// from-scratch build over the surviving window.
 func TestSegmentWindowTrim(t *testing.T) {
 	st, _ := newTestStore(t)
-	opts := segOptions(t)
+	opts := testOptions(t)
 	opts.WindowDays = 4
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var starts []int
 	for i := 0; i < 8; i++ {
 		mustPush(t, ing, fmt.Sprintf("d%02d", i), day(uint64(i)))
 		if err := ing.drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		starts = append(starts, ing.winStart)
 	}
-	if ing.base == 0 {
-		t.Fatal("window never trimmed")
+	// Day 4 overflows the 4-day window and trims to the 2 newest days
+	// ([3, 5)); days 5 and 6 fit without trimming; day 7 overflows again.
+	if want := []int{0, 0, 0, 0, 3, 3, 3, 6}; !slices.Equal(starts, want) {
+		t.Fatalf("window start after each day %v, want %v", starts, want)
 	}
 	if got := ing.segs.BaseCol(); got != ing.base {
 		t.Fatalf("segment base %d, window base %d", got, ing.base)
@@ -229,7 +187,7 @@ func TestSegmentWindowTrim(t *testing.T) {
 	if off, err := st.ColOffset(start); err != nil || off != ing.base {
 		t.Fatalf("trimmed base %d not day-aligned (day %d starts at %d, err %v)", ing.base, start, off, err)
 	}
-	assertSketchesEqual(t, scratchPool(t, st, start, 8, opts), ing.Pool(), "trimmed segment window vs heap")
+	assertPoolsEqual(t, scratchPool(t, st, start, 8, opts), ing.Pool(), "trimmed segment window vs heap")
 }
 
 // swapPublisher mimics the server: it retains each published snapshot
@@ -275,7 +233,7 @@ func (p *swapPublisher) close() {
 func TestSegmentCompactionUnderLiveQueries(t *testing.T) {
 	st, _ := newTestStore(t)
 	pub := &swapPublisher{}
-	opts := segOptions(t)
+	opts := testOptions(t)
 	opts.Publisher = pub
 	opts.Snapshot = server.SnapshotConfig{TileRows: 8, TileCols: 8}
 	ing, err := New(st, opts)
@@ -354,6 +312,6 @@ func TestSegmentCompactionUnderLiveQueries(t *testing.T) {
 			t.Fatalf("stray segment file %s survived reclamation", filepath.Base(p))
 		}
 	}
-	assertSketchesEqual(t,
+	assertPoolsEqual(t,
 		scratchPool(t, st, ing.winStart, 10, opts), ing.Pool(), "post-churn segment window vs heap")
 }

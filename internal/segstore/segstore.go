@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -65,14 +66,19 @@ type Store struct {
 	segs map[uint64]*segment
 }
 
+// ErrParamsMismatch reports a segment directory whose manifest was
+// written for different pool parameters than the ones Open was given.
+// Its segments are unusable for this pool; Reset discards them.
+var ErrParamsMismatch = errors.New("segstore: manifest params do not match the configured params")
+
 // Open opens (or initializes) the segment store in dir for the given
 // pool parameters. Stray temp files are cleaned, segment files the
 // manifest does not name are deleted (debris of a crash mid-write), and
 // every live segment's header is validated and its payload mapped —
 // restart cost is O(segments), not O(bytes). A manifest whose recorded
-// parameters differ from params is a hard error: segments are bound to
-// the sketch seed and geometry, and serving mismatched bytes would be
-// silent corruption. Corrupt segments are also hard errors — run fsck
+// parameters differ from params fails with ErrParamsMismatch: segments
+// are bound to the sketch seed and geometry, and serving mismatched
+// bytes would be silent corruption. Corrupt segments are also hard errors — run fsck
 // (tabmine-store fsck) to quarantine and truncate.
 func Open(dir string, params Params) (*Store, error) {
 	if err := params.validate(); err != nil {
@@ -86,7 +92,7 @@ func Open(dir string, params Params) (*Store, error) {
 	}
 	man, err := readManifest(dir)
 	if os.IsNotExist(err) {
-		man = &manifest{Version: 1, Params: toManifestParams(params), NextSeq: 1}
+		man = emptyManifest(params)
 		if err := writeManifest(dir, man); err != nil {
 			return nil, err
 		}
@@ -94,8 +100,8 @@ func Open(dir string, params Params) (*Store, error) {
 		return nil, err
 	}
 	if man.Params.params() != params {
-		return nil, fmt.Errorf("segstore: manifest params %+v do not match configured %+v",
-			man.Params.params(), params)
+		return nil, fmt.Errorf("%w: manifest %+v, configured %+v",
+			ErrParamsMismatch, man.Params.params(), params)
 	}
 
 	st := &Store{dir: dir, params: params, man: man, segs: make(map[uint64]*segment)}
@@ -132,6 +138,19 @@ func Open(dir string, params Params) (*Store, error) {
 		mSegBytesDisk.Add(e.Bytes)
 	}
 	return st, nil
+}
+
+// Reset replaces dir's manifest with an empty one for params, disowning
+// every segment the old manifest named; the next Open deletes their
+// files as unmanifested debris. It is the recovery for
+// ErrParamsMismatch when the caller can rebuild the sealed prefix from
+// its source data.
+func Reset(dir string, params Params) error {
+	return writeManifest(dir, emptyManifest(params))
+}
+
+func emptyManifest(params Params) *manifest {
+	return &manifest{Version: 1, Params: toManifestParams(params), NextSeq: 1}
 }
 
 // isSegmentName reports whether name looks like a segment file this

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -304,9 +305,18 @@ func TestOpenRejectsParamMismatch(t *testing.T) {
 	st.Close()
 	q := p
 	q.Seed = 7
-	if _, err := Open(dir, q); err == nil {
-		t.Fatal("Open with mismatched seed succeeded, want error")
+	if _, err := Open(dir, q); !errors.Is(err, ErrParamsMismatch) {
+		t.Fatalf("Open with mismatched seed: %v, want ErrParamsMismatch", err)
 	}
+	// Reset re-keys the directory to the new params.
+	if err := Reset(dir, q); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, q)
+	if err != nil {
+		t.Fatalf("Open after Reset: %v", err)
+	}
+	st.Close()
 }
 
 func TestOpenGCsUnmanifestedSegments(t *testing.T) {

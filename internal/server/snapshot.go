@@ -69,7 +69,7 @@ type Snapshot struct {
 	// refs counts who may still read the snapshot: the owner reference
 	// BuildSnapshot creates (transferred to the server by Swap) plus one
 	// Retain per in-flight request. When it reaches zero the onRelease
-	// closers run — segment-mode snapshots release their segstore.View
+	// closers run — ingest-published snapshots release their segstore.View
 	// there, which is what keeps a compaction from unmapping bytes a
 	// query is still reading. Heap-backed snapshots have no closers and
 	// the count is inert.

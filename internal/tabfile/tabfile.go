@@ -169,15 +169,19 @@ func Read(r io.Reader) (*table.Table, error) {
 		return nil, err
 	}
 	defer rr.Close()
-	t := table.New(rr.rows, rr.cols)
+	// The cell buffer grows as rows arrive rather than trusting the
+	// header's size up front, so a corrupt header claiming a huge table
+	// fails at EOF having committed memory proportional to the bytes
+	// actually present.
+	data := make([]float64, 0, min(rr.rows*rr.cols, 1<<20))
 	for i := 0; i < rr.rows; i++ {
 		cells, err := rr.Next()
 		if err != nil {
 			return nil, err
 		}
-		copy(t.Row(i), cells)
+		data = append(data, cells...)
 	}
-	return t, nil
+	return table.FromData(rr.rows, rr.cols, data)
 }
 
 // WriteFile writes t to path in the binary format.

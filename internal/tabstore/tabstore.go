@@ -48,7 +48,7 @@ type manifest struct {
 	Days    []dayEntry `json:"days"`
 }
 
-// SegmentsDirName is the store subdirectory segment-mode serving keeps
+// SegmentsDirName is the store subdirectory store-mode serving keeps
 // its segment files in (see internal/segstore); Open sweeps its stray
 // temps and tabmine-store's fsck and segments subcommands look there.
 const SegmentsDirName = "segments"
@@ -60,7 +60,7 @@ type Store struct {
 }
 
 // SegmentsDir returns the store's segment subdirectory path (which may
-// not exist; only segment-mode serving creates it).
+// not exist until the store is first served).
 func (s *Store) SegmentsDir() string { return filepath.Join(s.dir, SegmentsDirName) }
 
 func dirExists(path string) bool {

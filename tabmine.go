@@ -72,8 +72,8 @@
 // Persistence is crash-safe and self-checking: SavePoolFile and
 // SavePlaneSetFile replace snapshots atomically (temp file + fsync +
 // rename), snapshot sections carry CRC32C checksums verified on load
-// (corruption surfaces as ErrSnapshotChecksum, and files from older
-// versions still load), and Store appends day files atomically with
+// (corruption surfaces as ErrSnapshotChecksum; files in the retired
+// v1 and v2 formats fail as unsupported versions), and Store appends day files atomically with
 // checksums recorded in the manifest — Store.Fsck verifies and repairs
 // a store after a crash or disk corruption.
 //
